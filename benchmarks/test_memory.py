@@ -90,40 +90,3 @@ def test_segment_allocation_amortizes_with_size(benchmark):
     small, large = benchmark.pedantic(run, rounds=1, iterations=1)
     assert large < small
 
-
-def test_segment_pool_preserves_logical_alloc_counts(benchmark):
-    """Pooled and unpooled runs report identical *logical* allocations.
-
-    The PR-4 carcass pool recycles Python objects, not algorithmic
-    allocations: every segment the algorithm logically allocates must
-    still emit its ``Alloc`` op and bump ``segments_allocated``, whether
-    the backing cells came from the pool or from the heap.
-    """
-
-    from repro.bench.memstats import AllocStats
-    from repro.bench.workload import consumer_task, producer_task
-    from repro.core import RendezvousChannel
-    from repro.core.segments import segment_pool_enabled, set_segment_pool
-    from repro.sim import Scheduler
-
-    def counts_for(pooled):
-        was = segment_pool_enabled()
-        set_segment_pool(pooled)
-        try:
-            ch = RendezvousChannel(seg_size=2)
-            sched = Scheduler()
-            stats = AllocStats()
-            sched.alloc_stats = stats
-            n = bench_elements(0.1)
-            sched.spawn(producer_task(ch, 0, n))
-            sched.spawn(consumer_task(ch, n))
-            sched.run()
-            return stats.events, stats.units, ch._list.segments_allocated
-        finally:
-            set_segment_pool(was)
-
-    pooled, unpooled = benchmark.pedantic(
-        lambda: (counts_for(True), counts_for(False)), rounds=1, iterations=1
-    )
-    assert pooled == unpooled
-    assert pooled[0] > 0  # the run really allocated segments

@@ -41,7 +41,6 @@ from typing import Any
 
 from ..concurrent import ops as _ops_module
 from ..concurrent.ops import fast_ops_enabled, set_fast_ops
-from ..core.segments import segment_pool_enabled, set_segment_pool
 from ..sim.costmodel import CostModel
 from ..sim.scheduler import DesPolicy, Scheduler
 from .harness import make_impl
@@ -70,9 +69,8 @@ def measure_descriptor_allocs(
     from .. import _engine
 
     tier = _engine.resolve(None)
-    was_fast, was_pool = fast_ops_enabled(), segment_pool_enabled()
+    was_fast = fast_ops_enabled()
     set_fast_ops(fast)
-    set_segment_pool(fast)
     retained: list[Any] = []
     try:
         chan = make_impl(impl, capacity)
@@ -100,7 +98,6 @@ def measure_descriptor_allocs(
             tracemalloc.stop()
     finally:
         set_fast_ops(was_fast)
-        set_segment_pool(was_pool)
 
     op_file = _ops_module.__file__
     diff = after.filter_traces([tracemalloc.Filter(True, op_file)]).compare_to(

@@ -257,7 +257,7 @@ MATRIX: dict[str, Callable[[], Scheduler]] = {
     # dominated by channel/baseline *algorithm* code — descriptor
     # construction, segment walks, cell state machines — rather than by
     # scheduling decisions.  These are the points the algorithm-layer
-    # fast path (flyweight ops, flattened chains, segment pooling) moves.
+    # fast path (flyweight ops, flattened chains) moves.
     "alg-rendezvous-t4": lambda: _run_channel("faa-channel", 4, 0, 8000),
     "alg-buffered-deep-t4": lambda: _run_channel("faa-channel", 4, 256, 8000),
     "alg-segchurn-t4": lambda: _run_segchurn(4, 6000),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Any
 
-__all__ = ["Cell", "RefCell", "IntCell", "CacheLine", "renew_line"]
+__all__ = ["Cell", "RefCell", "IntCell", "CacheLine"]
 
 _cell_ids = itertools.count()
 
@@ -53,23 +53,6 @@ class CacheLine:
         self.avail_time: int = 0
 
 
-def renew_line(line: CacheLine) -> None:
-    """Reset *line* to the state of a freshly constructed cache line.
-
-    Used by the segment pool: a recycled segment must be observationally
-    identical to a new one, which means its lines take **fresh**
-    ``loc_id``\\ s from the global counter (in construction order) and
-    drop all writer/timing bookkeeping.  Reusing the old ``loc_id`` would
-    leak a previous run's per-task cache-residency into the cost model
-    and break bit-exact determinism.
-    """
-
-    line.loc_id = next(_cell_ids)
-    line.last_writer = None
-    line.write_time = 0
-    line.avail_time = 0
-
-
 class Cell:
     """One atomic memory location (do not instantiate directly).
 
@@ -85,8 +68,7 @@ class Cell:
         self.line = line if line is not None else CacheLine()
         #: Interned ``Read(self)`` descriptor (lazily built by
         #: :func:`repro.concurrent.ops.read_of`); immutable, so it stays
-        #: valid for the cell's whole life — including across segment
-        #: recycling, which reuses cells in place.
+        #: valid for the cell's whole life.
         self.read_op: Any = None
 
     @property

@@ -28,41 +28,26 @@ physically remove the segment when the drop made it logically removed).
 The tail segment is never physically removed (it anchors id uniqueness); its
 removal is re-checked when the tail advances.
 
-**Segment pooling (PR 4).**  Fully-processed segments are *recycled*: when a
-segment becomes unreachable (``clean_prev`` plus anchor advancement cut the
-last references — reachability is the safety proof, exactly like the JVM's
-GC-based reclamation the paper relies on), a ``weakref.finalize`` callback
-harvests its cells into the owning list's carcass pool, and the next
-tail-append adopts a pooled carcass instead of allocating ~3K fresh objects.
-Only the *innards* (cells, lines, lists) are reused — never the
-:class:`Segment` object itself, whose identity and ``id`` concurrent walkers
-may still hold.  A recycled segment is observationally identical to a fresh
-one: its cache lines take **fresh** ``loc_id``\\ s from the global counter in
-construction order and all cost-model bookkeeping is reset, so simulated
-results are bit-identical whether or not (and whenever) recycling happens.
-Logical allocation accounting is unchanged: the ``Alloc`` op is emitted and
-``segments_allocated`` incremented for pooled and fresh segments alike;
-``pool_hits``/``pool_recycled`` count reuse separately.
+**Reclamation.**  A segment is freed by plain reachability, like the
+JVM's GC-based reclamation the paper relies on: once ``clean_prev`` and
+anchor advancement cut the last references to a fully-processed or
+removed segment, it dies with its cells.  Segments are not pooled (see
+DESIGN.md §10); every tail-append builds a fresh :class:`Segment`.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import weakref
 from typing import Any, Generator, Optional
 
-from ..concurrent.cells import CacheLine, IntCell, RefCell, renew_line
+from ..concurrent.cells import CacheLine, IntCell, RefCell
 from ..concurrent.ops import Alloc, Cas, Faa, Read, Write, read_of
-from ..runtime.waiter import Waiter
 
 __all__ = [
     "Segment",
     "SegmentList",
     "DEFAULT_SEGMENT_SIZE",
     "KERNEL_DELEGATES",
-    "segment_pool_enabled",
-    "set_segment_pool",
 ]
 
 #: The paper's tuned segment size ("we have chosen the segment size of 32").
@@ -82,79 +67,6 @@ KERNEL_DELEGATES = (
     "Segment.on_interrupted_cell",
 )
 
-_segment_pool = os.environ.get("REPRO_NO_SEGMENT_POOL", "") in ("", "0")
-
-
-def segment_pool_enabled() -> bool:
-    """``True`` when carcass recycling is active (A/B lever)."""
-
-    return _segment_pool
-
-
-def set_segment_pool(enabled: bool) -> None:
-    """Runtime toggle for segment pooling (A/B and identity tests)."""
-
-    global _segment_pool
-    _segment_pool = bool(enabled)
-
-
-#: Harvested carcasses kept per list.  Small on purpose: steady state
-#: needs one or two (the wave reuses the segment the anchors just left).
-_POOL_CAP = 16
-
-
-class _CarcassPool:
-    """Free-list of segment innards ``(next, prev, cnt, states, elems)``.
-
-    Deliberately ignorant of :class:`SegmentList` so the
-    ``weakref.finalize`` callbacks that feed it never keep the list (or
-    the dying segment) alive.
-    """
-
-    __slots__ = ("items", "hits", "recycled", "rejected")
-
-    def __init__(self) -> None:
-        self.items: list[tuple] = []
-        #: Carcasses handed back out to new segments.
-        self.hits = 0
-        #: Carcasses harvested from dead segments.
-        self.recycled = 0
-        #: Harvests refused because a cell still held a waiter.
-        self.rejected = 0
-
-    def harvest(self, carcass: tuple) -> None:
-        """Scrub a dead segment's cells and pool them for reuse."""
-
-        if not _segment_pool or len(self.items) >= _POOL_CAP:
-            return
-        nxt_c, prev_c, cnt_c, states, elems = carcass
-        for c in states:
-            if isinstance(c.value, Waiter):
-                # Lifecycle invariant: a segment holding a parked waiter
-                # must be reachable (the waiter's own task frame pins it),
-                # so a dying one cannot carry a waiter.  Refuse the
-                # carcass rather than ever resurrecting a waiter into a
-                # fresh segment; the fuzzer asserts this stays zero.
-                self.rejected += 1
-                return
-        # Drop value references now (elements, neighbour segments) so the
-        # pooled carcass pins nothing.
-        nxt_c.value = None
-        prev_c.value = None
-        for c in states:
-            c.value = None
-        for c in elems:
-            c.value = None
-        self.items.append(carcass)
-        self.recycled += 1
-
-    def take(self) -> Optional[tuple]:
-        if self.items:
-            self.hits += 1
-            return self.items.pop()
-        return None
-
-
 class Segment:
     """One fixed-size block of ``K`` (state, elem) cell pairs."""
 
@@ -167,8 +79,6 @@ class Segment:
         "_cnt",
         "states",
         "elems",
-        "_fin",
-        "__weakref__",
     )
 
     def __init__(
@@ -177,74 +87,33 @@ class Segment:
         seg_id: int,
         prev: Optional["Segment"],
         pointers: int = 0,
-        carcass: Optional[tuple] = None,
     ):
         self.owner = owner
         self.id = seg_id
         K = owner.seg_size
         self.K = K
         tag = owner.tag
-        if carcass is not None:
-            # Adopt pooled innards.  Lines are renewed in the same order
-            # fresh construction creates them (next, prev, cnt, then the
-            # K shared state/elem lines), drawing the same number of
-            # fresh loc_ids from the global counter — the cost model
-            # cannot tell a recycled segment from a new one.
-            # Names are lazy ``(fmt, *args)`` tuples (see ``Cell.name``):
-            # segment construction is the allocation hot path and the
-            # labels are only ever read by tracing/debug code.
-            nxt_c, prev_c, cnt_c, states, elems = carcass
-            renew_line(nxt_c.line)
-            nxt_c.value = None
-            nxt_c.name = ("%s.seg%d.next", tag, seg_id)
-            renew_line(prev_c.line)
-            prev_c.value = prev
-            prev_c.name = ("%s.seg%d.prev", tag, seg_id)
-            renew_line(cnt_c.line)
-            cnt_c.value = pointers * (K + 1)
-            cnt_c.name = ("%s.seg%d.cnt", tag, seg_id)
-            for i in range(K):
-                sc = states[i]
-                renew_line(sc.line)  # shared with elems[i]
-                sc.value = None
-                sc.name = ("%s.seg%d.state[%d]", tag, seg_id, i)
-                ec = elems[i]
-                ec.value = None
-                ec.name = ("%s.seg%d.elem[%d]", tag, seg_id, i)
-            self._next = nxt_c
-            self._prev = prev_c
-            self._cnt = cnt_c
-            self.states = states
-            self.elems = elems
-        else:
-            self._next = RefCell(None, name=("%s.seg%d.next", tag, seg_id))
-            self._prev = RefCell(prev, name=("%s.seg%d.prev", tag, seg_id))
-            # Packed counter: value = pointers * (K + 1) + interrupted.
-            self._cnt = IntCell(pointers * (K + 1), name=("%s.seg%d.cnt", tag, seg_id))
-            # A cell's state and elem are adjacent slots of one array in the
-            # real layout — the same cache line.  Model that: the sender's
-            # element store takes the line exclusively, so its state CAS is
-            # local while a racing receiver's state read must fetch the line
-            # from it (this asymmetry keeps poisoning rare, §5).
-            lines = [CacheLine() for _ in range(K)]
-            self.states = [
-                RefCell(None, name=("%s.seg%d.state[%d]", tag, seg_id, i), line=lines[i])
-                for i in range(K)
-            ]
-            self.elems = [
-                RefCell(None, name=("%s.seg%d.elem[%d]", tag, seg_id, i), line=lines[i])
-                for i in range(K)
-            ]
-        # Recycle the innards when this segment object dies.  The
-        # callback references only the pool and the cells (never the
-        # segment or the list), so registration does not extend any
-        # lifetime; atexit harvesting is pointless, skip it.
-        self._fin = weakref.finalize(
-            self,
-            owner._pool.harvest,
-            (self._next, self._prev, self._cnt, self.states, self.elems),
-        )
-        self._fin.atexit = False
+        # Names are lazy ``(fmt, *args)`` tuples (see ``Cell.name``):
+        # segment construction is the allocation hot path and the labels
+        # are only ever read by tracing/debug code.
+        self._next = RefCell(None, name=("%s.seg%d.next", tag, seg_id))
+        self._prev = RefCell(prev, name=("%s.seg%d.prev", tag, seg_id))
+        # Packed counter: value = pointers * (K + 1) + interrupted.
+        self._cnt = IntCell(pointers * (K + 1), name=("%s.seg%d.cnt", tag, seg_id))
+        # A cell's state and elem are adjacent slots of one array in the
+        # real layout — the same cache line.  Model that: the sender's
+        # element store takes the line exclusively, so its state CAS is
+        # local while a racing receiver's state read must fetch the line
+        # from it (this asymmetry keeps poisoning rare, §5).
+        lines = [CacheLine() for _ in range(K)]
+        self.states = [
+            RefCell(None, name=("%s.seg%d.state[%d]", tag, seg_id, i), line=lines[i])
+            for i in range(K)
+        ]
+        self.elems = [
+            RefCell(None, name=("%s.seg%d.elem[%d]", tag, seg_id, i), line=lines[i])
+            for i in range(K)
+        ]
 
     # ------------------------------------------------------------------
     # Cell access
@@ -408,52 +277,14 @@ class SegmentList:
         #: 3 for buffered: S, R and B).  The first segment starts with
         #: this many pointers — Listing 6: "Initialized with (3, 0)".
         self.anchors = anchors
-        self._pool = _CarcassPool()
         self.first = Segment(self, 0, prev=None, pointers=anchors)
         #: Segments ever allocated (allocation-pressure statistic).
-        #: Counts *logical* allocations: recycled segments count too —
-        #: pooling is invisible to allocation accounting by design.
         self.segments_allocated = 1
 
     def make_anchor(self, label: str) -> RefCell:
         """A new anchor reference cell pointing at the first segment."""
 
         return RefCell(self.first, name=f"{self.name}.segment{label}")
-
-    # ------------------------------------------------------------------
-    # Segment construction / recycling
-    # ------------------------------------------------------------------
-
-    def _new_segment(self, seg_id: int, prev: Optional[Segment], pointers: int = 0) -> Segment:
-        """A segment for the tail append — from the carcass pool if possible."""
-
-        carcass = self._pool.take() if _segment_pool else None
-        return Segment(self, seg_id, prev, pointers, carcass=carcass)
-
-    def _recycle_unpublished(self, seg: Segment) -> None:
-        """Pool a segment whose tail-append CAS lost (deterministic path).
-
-        The segment was never published — no other task can hold a
-        reference — so its innards go straight back to the pool instead
-        of waiting for GC.  Detach the finalizer first or the eventual
-        collection would harvest the same carcass twice.
-        """
-
-        if _segment_pool:
-            seg._fin.detach()
-            self._pool.harvest((seg._next, seg._prev, seg._cnt, seg.states, seg.elems))
-
-    @property
-    def pool_hits(self) -> int:
-        return self._pool.hits
-
-    @property
-    def pool_recycled(self) -> int:
-        return self._pool.recycled
-
-    @property
-    def pool_rejected(self) -> int:
-        return self._pool.rejected
 
     # ------------------------------------------------------------------
     # findSegment / moveForward (Listing 6, lines 1–37)
@@ -492,7 +323,7 @@ class SegmentList:
             skip_check = False
             nxt = yield read_of(cur._next)
             if nxt is None:
-                new = self._new_segment(cur.id + 1, cur)
+                new = Segment(self, cur.id + 1, cur)
                 yield Alloc("segment", self.seg_size)
                 ok = yield Cas(cur._next, None, new)
                 if ok:
@@ -501,8 +332,6 @@ class SegmentList:
                     value = yield read_of(cur._cnt)
                     if value % K1 == self.seg_size and value // K1 == 0:
                         yield from cur.remove()
-                else:
-                    self._recycle_unpublished(new)
                 continue  # re-read next: it is non-null now
             cur = nxt
 

@@ -36,7 +36,7 @@ __all__ = [
     "random_program",
     "run_fuzz_case",
     "fuzz_channel",
-    "fuzz_segment_recycling",
+    "fuzz_segment_churn",
 ]
 
 _OP_KINDS = ("send", "receive", "try_send", "try_receive")
@@ -155,45 +155,38 @@ def _validate(report: FuzzReport, capacity: int, check_lin: bool) -> None:
         report.checked_linearizability = True
 
 
-def fuzz_segment_recycling(
+def fuzz_segment_churn(
     cases: int = 25,
     seed: int = 0,
     seg_size: int = 2,
     max_steps: int = 300_000,
 ) -> dict[str, int]:
-    """Storm-test segment pooling: cancel/close/interrupt while recycling.
+    """Storm-test segment turnover: cancel/close/interrupt while segments churn.
 
     Tiny segments (``seg_size`` cells) force continuous segment turnover;
     producer/consumer pairs race with interrupters and an occasional
-    ``close()``/``cancel()``, so segments are freed — and their carcasses
-    recycled into later segments — while waiters are parked, cells are
-    being interrupted, and close/cancel walks are in flight.
+    ``close()``/``cancel()``, so segments are appended, interrupted and
+    physically removed while waiters are parked, cells are being
+    interrupted, and close/cancel walks are in flight.
 
-    Invariants checked per case:
-
-    * the pool never harvests a carcass whose cells still hold a waiter
-      (``pool_rejected == 0``) — recycling must be impossible to observe
-      as a resurrected parked task;
-    * conservation — every received value was sent, exactly once.
-
-    The aggregate must also show the pool actually worked (some carcasses
-    recycled *and* reused), otherwise the test is vacuous.  Returns the
-    aggregated pool counters.
+    Conservation is checked per case: every received value was sent,
+    exactly once.  The aggregate must also show that some case physically
+    removed a segment (``alive_count() < segments_allocated``), otherwise
+    the storm never reached the removal path and the test is vacuous.
+    Returns the aggregated counters.
     """
-
-    import gc
 
     from ..core import BufferedChannel, RendezvousChannel
     from ..runtime import interrupt_task
 
-    totals = {"recycled": 0, "hits": 0, "rejected": 0, "deadlocks": 0}
+    totals = {"removing_cases": 0, "deadlocks": 0}
     for case in range(cases):
         rng = random.Random(seed * 7919 + case)
         capacity = rng.choice((0, 0, 1, 4))
         if capacity == 0:
-            channel: Any = RendezvousChannel(seg_size=seg_size, name=f"fuzz-pool-{case}")
+            channel: Any = RendezvousChannel(seg_size=seg_size, name=f"fuzz-churn-{case}")
         else:
-            channel = BufferedChannel(capacity, seg_size=seg_size, name=f"fuzz-pool-{case}")
+            channel = BufferedChannel(capacity, seg_size=seg_size, name=f"fuzz-churn-{case}")
         sched = Scheduler(
             policy=RandomPolicy(seed * 99991 + case),
             cost_model=NullCostModel(),
@@ -241,20 +234,13 @@ def fuzz_segment_recycling(
         except (DeadlockError, StepLimitExceeded):
             totals["deadlocks"] += 1
 
-        gc.collect()  # drive any cycle-held segment carcasses to harvest
         seg_list = channel._list
-        assert seg_list.pool_rejected == 0, (
-            f"case {case}: pool offered a carcass still holding a waiter "
-            f"({seg_list.pool_rejected} rejections)"
-        )
         assert len(set(received)) == len(received), f"case {case}: value received twice"
         missing = set(received) - set(sent)
         assert not missing, f"case {case}: received but never sent: {missing}"
-        totals["recycled"] += seg_list.pool_recycled
-        totals["hits"] += seg_list.pool_hits
-        totals["rejected"] += seg_list.pool_rejected
-    assert totals["recycled"] > 0, "pooling never exercised: no carcass was recycled"
-    assert totals["hits"] > 0, "pooling never exercised: no carcass was reused"
+        if seg_list.alive_count() < seg_list.segments_allocated:
+            totals["removing_cases"] += 1
+    assert totals["removing_cases"] > 0, "churn never exercised: no segment was removed"
     return totals
 
 

@@ -628,13 +628,13 @@ class TestKernelIdentity:
         snap = self.all_ways(make)
         assert snap["err"] is None
 
-    def test_fuzz_and_recycling_under_kernels(self):
+    def test_fuzz_and_churn_under_kernels(self):
         # The randomized close/cancel/interrupt storms (lincheck-style
-        # fuzz + segment-recycling storm) must hold with the kernels
-        # live inside the compiled stint loop.
+        # fuzz + segment-churn storm) must hold with the kernels live
+        # inside the compiled stint loop.
         from repro.core import BufferedChannel, RendezvousChannel
         from repro.verify import fuzz_channel
-        from repro.verify.fuzz import fuzz_segment_recycling
+        from repro.verify.fuzz import fuzz_segment_churn
 
         prev_tier = _engine.set_default_engine("c")
         prev_kern = _engine.alg_kernels_enabled()
@@ -648,9 +648,8 @@ class TestKernelIdentity:
                 lambda: BufferedChannel(2, seg_size=2), 2, cases=20, seed=7
             )
             assert sum(len(r.received) for r in reports) > 0
-            totals = fuzz_segment_recycling(cases=15, seed=2, seg_size=2)
-            assert totals["rejected"] == 0
-            assert totals["recycled"] > 0 and totals["hits"] > 0
+            totals = fuzz_segment_churn(cases=15, seed=2, seg_size=2)
+            assert totals["removing_cases"] > 0
         finally:
             _engine.set_alg_kernels(prev_kern)
             _engine.set_default_engine(prev_tier)
@@ -678,10 +677,24 @@ class TestBenchEngineGating:
         assert rows and all(r["engine"] == "c" for r in rows)
 
     def test_selfperf_explicit_c_unavailable_fails_loudly(self):
-        # In-process only when the extension is genuinely absent; the
-        # subprocess variant in TestFallback covers the built tree.
+        # In-process when the extension is genuinely absent; on a built
+        # tree the same call runs in a probe-disabled subprocess.
         if _engine.available():
-            pytest.skip("extension available; covered by TestFallback subprocess")
+            cp = _run_probeless(
+                """
+                from repro.bench.selfperf import run_selfperf
+                from repro.errors import EngineUnavailableError
+
+                try:
+                    run_selfperf(repeat=1, names=["counter-faa-t8"], engine="c")
+                except EngineUnavailableError:
+                    pass
+                else:
+                    raise SystemExit("run_selfperf(engine='c') did not raise")
+                """
+            )
+            assert cp.returncode == 0, cp.stderr
+            return
         from repro.bench.selfperf import run_selfperf
         from repro.errors import EngineUnavailableError
 

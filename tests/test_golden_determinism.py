@@ -128,22 +128,19 @@ class TestGoldenDeterminism:
 class TestFastOpsIdentity:
     """The PR-4 algorithm-layer fast path is observationally invisible.
 
-    Interned/reusable op descriptors and segment pooling must never change
-    a single simulated outcome: every golden config run with the fast path
-    degraded to fresh-allocation mode must match the default run bit for
-    bit.  (``REPRO_NO_FAST_OPS=1`` / ``REPRO_NO_SEGMENT_POOL=1`` flip the
-    same switches from the environment.)
+    Interned/reusable op descriptors must never change a single simulated
+    outcome: every golden config run with the fast path degraded to
+    fresh-allocation mode must match the default run bit for bit.
+    (``REPRO_NO_FAST_OPS=1`` flips the same switch from the environment.)
     """
 
     @pytest.fixture
     def degraded(self):
         from repro.concurrent.ops import fast_ops_enabled, set_fast_ops
-        from repro.core.segments import segment_pool_enabled, set_segment_pool
 
-        was_fast, was_pool = fast_ops_enabled(), segment_pool_enabled()
-        yield lambda: (set_fast_ops(False), set_segment_pool(False))
+        was_fast = fast_ops_enabled()
+        yield lambda: set_fast_ops(False)
         set_fast_ops(was_fast)
-        set_segment_pool(was_pool)
 
     @pytest.mark.parametrize(
         "g",
